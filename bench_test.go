@@ -16,6 +16,7 @@ import (
 	"cafmpi/internal/bench"
 	"cafmpi/internal/fabric"
 	"cafmpi/internal/hpcc"
+	"cafmpi/internal/mpi"
 	"cafmpi/internal/rtmpi"
 )
 
@@ -233,6 +234,51 @@ func BenchmarkAblationAlltoallSubstrate(b *testing.B) {
 }
 
 // --- Wall-clock benchmarks of the runtime primitives ---
+
+// BenchmarkPrimitiveFlushAllNP1024 measures a flat-mode MPI_WIN_FLUSH_ALL
+// at np=1024 with one pending peer: each op is one Put, which makes the
+// next peer in turn pending, then Win.FlushAll. The virtual charge scans all
+// 1024 ranks (the paper's §4.1 pathology); the host walk visits only the
+// pending one.
+func BenchmarkPrimitiveFlushAllNP1024(b *testing.B) {
+	const np = 1024
+	cfg := caf.Config{Substrate: caf.MPI, Platform: fabric.Platform("fusion")}
+	buf := make([]byte, 8)
+	if err := caf.Run(np, cfg, func(im *caf.Image) error {
+		env, err := caf.MPIEnv(im)
+		if err != nil {
+			return err
+		}
+		win, err := mpi.WinAllocate(env.CommWorld(), 64)
+		if err != nil {
+			return err
+		}
+		if err := win.LockAll(); err != nil {
+			return err
+		}
+		if im.ID() == 0 {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := win.Put(buf, 1+i%(np-1), 0); err != nil {
+					return err
+				}
+				if err := win.FlushAll(); err != nil {
+					return err
+				}
+			}
+			b.StopTimer()
+		}
+		if err := win.UnlockAll(); err != nil {
+			return err
+		}
+		if err := env.CommWorld().Barrier(); err != nil {
+			return err
+		}
+		return win.Free()
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
 
 func benchPrimitive(b *testing.B, sub caf.Substrate, fn func(im *caf.Image, iters int) error) {
 	cfg := caf.Config{Substrate: sub, Platform: fabric.Platform("fusion")}

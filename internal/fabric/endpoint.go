@@ -145,9 +145,13 @@ func newEndpoint(l *Layer, rank int, sh *shard) *Endpoint {
 	return e
 }
 
-// classQueue holds one class's per-source buckets.
+// classQueue holds one class's per-source buckets. live indexes the
+// non-empty ones (bit s is set exactly when srcs[s] holds a message), so a
+// wildcard take or probe visits only sources with queued messages instead
+// of testing all P buckets.
 type classQueue struct {
 	srcs  []bucket // indexed by source world rank
+	live  RankBits
 	count int
 }
 
@@ -199,13 +203,15 @@ func (e *Endpoint) enqueueLocked(m *Message) (wake bool) {
 	}
 	cq := e.classes[m.Class]
 	if cq == nil {
-		cq = &classQueue{srcs: make([]bucket, len(e.layer.eps))}
+		np := len(e.layer.eps)
+		cq = &classQueue{srcs: make([]bucket, np), live: NewRankBits(np)}
 		e.classes[m.Class] = cq
 	}
 	m.aseq = e.nextSeq
 	e.nextSeq++
 	b := &cq.srcs[m.Src]
 	b.msgs = append(b.msgs, m)
+	cq.live.Set(m.Src)
 	cq.count++
 	e.depth++
 	e.present |= 1 << m.Class
@@ -237,7 +243,9 @@ func (e *Endpoint) wakeNeededLocked(class uint8, src int, isPoke bool) bool {
 // takeSpecLocked removes and returns the least-arrival-stamp message
 // eligible under spec (class, src, Filter, and ArriveT <= Before). When no
 // message is eligible it instead reports the earliest arrival stamp among
-// messages that match everything but the time gate.
+// messages that match everything but the time gate. A wildcard spec visits
+// only the live sources; both results are minima over unique stamps, so
+// the visit order cannot change which message wins.
 func (e *Endpoint) takeSpecLocked(spec *MatchSpec) (*Message, int64, bool) {
 	var (
 		best      *Message
@@ -256,22 +264,30 @@ func (e *Endpoint) takeSpecLocked(spec *MatchSpec) (*Message, int64, bool) {
 			e.scanBucket(cq, &cq.srcs[spec.Src], spec, &best, &bestCQ, &bestB, &bestIdx, &earliest, &earlSeq, &hasEarl)
 			continue
 		}
-		for s := range cq.srcs {
-			if cq.srcs[s].size() > 0 {
-				e.scanBucket(cq, &cq.srcs[s], spec, &best, &bestCQ, &bestB, &bestIdx, &earliest, &earlSeq, &hasEarl)
-			}
+		for s := cq.live.Next(0); s >= 0; s = cq.live.Next(s + 1) {
+			e.scanBucket(cq, &cq.srcs[s], spec, &best, &bestCQ, &bestB, &bestIdx, &earliest, &earlSeq, &hasEarl)
 		}
 	}
 	if best == nil {
 		return nil, earliest, hasEarl
 	}
-	bestB.removeAt(bestIdx)
-	bestCQ.count--
-	if bestCQ.count == 0 {
-		e.present &^= 1 << best.Class
+	e.removeLocked(bestCQ, bestB, bestIdx, best)
+	return best, 0, false
+}
+
+// removeLocked deletes m, found at absolute index i of bucket b in class
+// queue cq, keeping the live-source index, the present classes and the
+// depth current.
+func (e *Endpoint) removeLocked(cq *classQueue, b *bucket, i int, m *Message) {
+	b.removeAt(i)
+	if b.size() == 0 {
+		cq.live.Clear(m.Src)
+	}
+	cq.count--
+	if cq.count == 0 {
+		e.present &^= 1 << m.Class
 	}
 	e.depth--
-	return best, 0, false
 }
 
 // scanBucket walks one bucket in stamp order. The first eligible message it
@@ -327,12 +343,7 @@ func (e *Endpoint) sweepDupLocked(m *Message) {
 		if s.DupKey != m.DupKey {
 			continue
 		}
-		b.removeAt(i)
-		cq.count--
-		if cq.count == 0 {
-			e.present &^= 1 << m.Class
-		}
-		e.depth--
+		e.removeLocked(cq, b, i, s)
 		if flt := e.layer.net.flt; flt != nil {
 			flt.Record(e.rank, faults.Event{T: s.ArriveT, Kind: faults.KindDedup,
 				Layer: e.layer.name, Class: s.Class, Src: s.Src, Dst: e.rank, Seq: m.DupKey - 1})
@@ -399,6 +410,7 @@ func (e *Endpoint) undoTakeLocked(m *Message) {
 		copy(b.msgs[i+1:], b.msgs[i:])
 		b.msgs[i] = m
 	}
+	cq.live.Set(m.Src)
 	cq.count++
 	e.depth++
 	e.present |= 1 << m.Class
@@ -445,7 +457,7 @@ func (e *Endpoint) PollStateFor(spec *MatchSpec) PollState {
 			scanEarliest(&cq.srcs[spec.Src], spec, &st)
 			continue
 		}
-		for s := range cq.srcs {
+		for s := cq.live.Next(0); s >= 0; s = cq.live.Next(s + 1) {
 			scanEarliest(&cq.srcs[s], spec, &st)
 		}
 	}

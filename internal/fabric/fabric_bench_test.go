@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
 	"cafmpi/internal/sim"
@@ -119,5 +120,39 @@ func BenchmarkFabricWildcardMatch(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkFabricWildcardTakeNP1024 measures one wildcard (AnySrc) take on
+// a 1024-rank endpoint whose queue holds messages from only a few sources
+// — the RandomAccess shape, where every MPI progress poll and AM poll is a
+// wildcard probe. Each op takes the earliest message and re-enqueues it,
+// so the live-source count stays fixed. The take should cost the same at
+// any world size: it visits the live sources, not all 1024 buckets.
+func BenchmarkFabricWildcardTakeNP1024(b *testing.B) {
+	const np = 1024
+	for _, live := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			l := AttachNet(sim.NewWorld(np), testParams()).Layer("bench")
+			e := l.Endpoint(0)
+			e.sh.mu.Lock()
+			for k := 0; k < live; k++ {
+				// Spread the sources over the rank range (and bitset words).
+				e.enqueueLocked(&Message{Src: (k*331 + 7) % np, Tag: k})
+			}
+			e.sh.mu.Unlock()
+			spec := MatchSpec{Classes: AllClasses, Src: AnySrc, Before: NoTimeGate}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, _ := e.TryRecvSpec(&spec)
+				if m == nil {
+					b.Fatal("wildcard take found nothing")
+				}
+				e.sh.mu.Lock()
+				e.enqueueLocked(m)
+				e.sh.mu.Unlock()
+			}
+		})
 	}
 }

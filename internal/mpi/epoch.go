@@ -15,7 +15,9 @@ import (
 //   - Default (paper-faithful): FlushAll and friends scan every rank of the
 //     communicator at FlushScanNS apiece — the MPICH-derivative behaviour
 //     whose linear growth the paper charts in Figure 4. This path is kept
-//     bit-exact with the pre-refactor code.
+//     bit-exact with the pre-refactor code. The charge is linear; the host
+//     walk is not: it visits only the pending targets and bills the ranks
+//     between them in one Advance each.
 //
 //   - Sparse (fabric.MPICosts.SparseFlush, foMPI-like): the epoch tracks a
 //     dirty-peer set updated by every RMA op, and the flush paths walk only
@@ -26,11 +28,12 @@ type epoch struct {
 	comm *Comm
 
 	// Per-target (comm rank) completion tracking: the latest remote-
-	// completion timestamp of issued operations, and whether any operation
-	// is unflushed. pendingOps counts unflushed operations per target;
-	// pendingTotal is their sum, feeding the pending_rma_max gauge.
+	// completion timestamp of issued operations, and the set of targets
+	// with an unflushed operation. pendingOps counts unflushed operations
+	// per target; pendingTotal is their sum, feeding the pending_rma_max
+	// gauge.
 	pendingT     []int64
-	hasPending   []bool
+	hasPending   fabric.RankBits
 	pendingOps   []int64
 	pendingTotal int64
 
@@ -50,7 +53,7 @@ func (ep *epoch) epInit(env *Env, comm *Comm) {
 	ep.comm = comm
 	n := comm.Size()
 	ep.pendingT = make([]int64, n)
-	ep.hasPending = make([]bool, n)
+	ep.hasPending = fabric.NewRankBits(n)
 	ep.pendingOps = make([]int64, n)
 	ep.sparse = env.costs().SparseFlush
 	if ep.sparse {
@@ -66,7 +69,7 @@ func (ep *epoch) notePending(target int, t int64) {
 	if t > ep.pendingT[target] {
 		ep.pendingT[target] = t
 	}
-	ep.hasPending[target] = true
+	ep.hasPending.Set(target)
 	ep.pendingOps[target]++
 	ep.pendingTotal++
 	ep.env.sh.Max(obs.CtrPendingRMAMax, ep.pendingTotal)
@@ -87,7 +90,7 @@ func (ep *epoch) touch(target int) {
 
 // clearPending marks target flushed, releasing its outstanding-op count.
 func (ep *epoch) clearPending(target int) {
-	ep.hasPending[target] = false
+	ep.hasPending.Clear(target)
 	ep.pendingTotal -= ep.pendingOps[target]
 	ep.pendingOps[target] = 0
 }
@@ -120,12 +123,9 @@ func (ep *epoch) flushTarget(target int) {
 	p := ep.env.p
 	t0 := p.Now()
 	var waited int64
-	pending := ep.hasPending[target]
+	pending := ep.hasPending.Has(target)
 	if pending {
-		p.AdvanceTo(ep.pendingT[target])
-		waited = p.Now() - t0
-		p.Advance(c.FlushNS)
-		ep.clearPending(target)
+		waited = ep.waitPending(target)
 	} else {
 		p.Advance(c.FlushScanNS)
 	}
@@ -157,10 +157,29 @@ func (ep *epoch) flushTarget(target int) {
 	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }
 
+// waitPending completes target's outstanding operations: wait out its
+// completion timestamp, charge FlushNS, and release it. It returns the
+// wait.
+func (ep *epoch) waitPending(target int) int64 {
+	p := ep.env.p
+	pre := p.Now()
+	p.AdvanceTo(ep.pendingT[target])
+	waited := p.Now() - pre
+	p.Advance(ep.env.costs().FlushNS)
+	ep.clearPending(target)
+	return waited
+}
+
 // flushAllEpoch charges the MPI_WIN_FLUSH_ALL sequence. Default mode scans
 // every rank of the communicator (the §4.1 bottleneck); sparse mode walks
 // the dirty set in ascending rank order and clears it — cost proportional
 // to what the epoch touched, not to world size.
+//
+// The default-mode host walk visits only the pending targets, in ascending
+// order, charging FlushScanNS for every rank up to and including each one
+// before waiting on it, then for the ranks after the last. Advance is
+// integer addition that skips non-positive charges, so the clock matches
+// a per-rank walk exactly while host cost is O(pending + Size/64).
 func (ep *epoch) flushAllEpoch() {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
@@ -175,28 +194,21 @@ func (ep *epoch) flushAllEpoch() {
 		scanned = len(peers)
 		for _, t := range peers {
 			p.Advance(c.FlushScanNS)
-			if ep.hasPending[t] {
-				pre := p.Now()
-				p.AdvanceTo(ep.pendingT[t])
-				waited += p.Now() - pre
-				p.Advance(c.FlushNS)
-				ep.clearPending(t)
+			if ep.hasPending.Has(t) {
+				waited += ep.waitPending(t)
 				flushed++
 			}
 		}
 		ep.dirty.Clear()
 	} else {
-		for t := 0; t < ep.comm.Size(); t++ {
-			p.Advance(c.FlushScanNS)
-			if ep.hasPending[t] {
-				pre := p.Now()
-				p.AdvanceTo(ep.pendingT[t])
-				waited += p.Now() - pre
-				p.Advance(c.FlushNS)
-				ep.clearPending(t)
-				flushed++
-			}
+		prev := -1
+		for t := ep.hasPending.Next(0); t >= 0; t = ep.hasPending.Next(t + 1) {
+			p.Advance(c.FlushScanNS * int64(t-prev))
+			waited += ep.waitPending(t)
+			flushed++
+			prev = t
 		}
+		p.Advance(c.FlushScanNS * int64(scanned-1-prev))
 	}
 	if sh := ep.env.sh; sh != nil {
 		end := p.Now()
@@ -230,8 +242,9 @@ func (ep *epoch) flushAllEpoch() {
 // rflushAllEpoch charges the request-generating flush-all (the paper's §5
 // MPI_WIN_RFLUSH proposal) and returns the completion timestamp for the
 // request. Only targets with outstanding operations are visited in either
-// mode; sparse mode additionally clears the dirty set, closing the epoch
-// window the request covers.
+// mode (default mode walks the pending set directly); sparse mode
+// additionally clears the dirty set, closing the epoch window the request
+// covers.
 func (ep *epoch) rflushAllEpoch() int64 {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
@@ -241,7 +254,7 @@ func (ep *epoch) rflushAllEpoch() int64 {
 	any := false
 	scanned := 0
 	visit := func(t int) {
-		if !ep.hasPending[t] {
+		if !ep.hasPending.Has(t) {
 			return
 		}
 		any = true
@@ -258,7 +271,7 @@ func (ep *epoch) rflushAllEpoch() int64 {
 		}
 		ep.dirty.Clear()
 	} else {
-		for t := 0; t < ep.comm.Size(); t++ {
+		for t := ep.hasPending.Next(0); t >= 0; t = ep.hasPending.Next(t + 1) {
 			visit(t)
 		}
 	}

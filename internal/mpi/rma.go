@@ -442,7 +442,7 @@ func (w *Win) Rflush(target int) (*Request, error) {
 		return nil, err
 	}
 	done := w.env.p.Now()
-	if w.hasPending[target] {
+	if w.hasPending.Has(target) {
 		done += w.env.net.Params().LatencyNS
 		if w.pendingT[target]+w.env.costs().FlushNS > done {
 			done = w.pendingT[target] + w.env.costs().FlushNS

@@ -13,12 +13,12 @@ import (
 // wide the goroutine population got. All values are deltas/extrema over
 // the Enable→Finish window.
 type HostStats struct {
-	WallNS        int64 `json:"wall_ns"`         // Enable→Finish host span
-	GCPauseNS     int64 `json:"gc_pause_ns"`     // summed stop-the-world pauses
-	NumGC         int64 `json:"num_gc"`          // completed GC cycles
+	WallNS        int64 `json:"wall_ns"`          // Enable→Finish host span
+	GCPauseNS     int64 `json:"gc_pause_ns"`      // summed stop-the-world pauses
+	NumGC         int64 `json:"num_gc"`           // completed GC cycles
 	SchedLatP50NS int64 `json:"sched_lat_p50_ns"` // median runnable-wait
 	SchedLatP99NS int64 `json:"sched_lat_p99_ns"` // tail runnable-wait
-	GoroutineMax  int64 `json:"goroutines_max"`  // peak live goroutines
+	GoroutineMax  int64 `json:"goroutines_max"`   // peak live goroutines
 	GOMAXPROCS    int   `json:"gomaxprocs"`
 }
 
@@ -34,12 +34,12 @@ type hostSampler struct {
 	startMem   runtime.MemStats
 	startSched metrics.Float64Histogram
 
-	mu     sync.Mutex
+	mu      sync.Mutex
 	goroMax int64
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-	out    HostStats
+	quit    chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
+	out     HostStats
 }
 
 func readSchedHist() metrics.Float64Histogram {

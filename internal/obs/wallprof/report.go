@@ -36,11 +36,11 @@ type ReportRow struct {
 // divergence — the component list is, in order, the to-do list for host-
 // side optimization (ROADMAP item 2).
 type Report struct {
-	Rows       []ReportRow `json:"rows"` // ranked by Divergence, descending
-	Host       HostStats   `json:"host"`
-	Attributed float64     `json:"attributed"` // fraction of host time under named components (always 1: residual is named)
-	MeasuredNS int64       `json:"measured_ns"` // Σ scaled site spans, excluding the residual
-	SampleEvery int        `json:"sample_every"`
+	Rows        []ReportRow `json:"rows"` // ranked by Divergence, descending
+	Host        HostStats   `json:"host"`
+	Attributed  float64     `json:"attributed"`  // fraction of host time under named components (always 1: residual is named)
+	MeasuredNS  int64       `json:"measured_ns"` // Σ scaled site spans, excluding the residual
+	SampleEvery int         `json:"sample_every"`
 }
 
 // Analyze merges every image's recorder into the divergence report.
